@@ -7,13 +7,14 @@ GO ?= go
 # Benchmark-trajectory settings: the paper-artifact suite, run -count
 # times and reduced to medians by cmd/benchjson. BENCH_JSON is the
 # committed trajectory file CI compares fresh runs against.
-BENCH_PATTERN ?= BenchmarkFig|BenchmarkTab|BenchmarkLRU|BenchmarkAbl|BenchmarkCkpt|BenchmarkTraceSession|BenchmarkFunctionalStep|BenchmarkSampledRun|BenchmarkSampledParallel|BenchmarkSpineResume|BenchmarkLatticeProbe
+BENCH_PATTERN ?= BenchmarkFig|BenchmarkTab|BenchmarkLRU|BenchmarkAbl|BenchmarkCkpt|BenchmarkTraceSession|BenchmarkFunctionalStep|BenchmarkSampledRun|BenchmarkSampledParallel|BenchmarkSpineResume|BenchmarkLatticeProbe|BenchmarkFunctionalBatch
 BENCH_COUNT   ?= 3
 BENCH_JSON    ?= BENCH_PR10.json
 # Packages holding trajectory benchmarks: the paper-artifact suite at the
 # repo root, the sampling and spine-lattice benchmarks next to their
-# drivers, and the lattice codec benchmark in the checkpoint package.
-BENCH_PKGS    ?= . ./internal/sim ./internal/ckpt
+# drivers, the lattice codec benchmark in the checkpoint package, and the
+# L4's functional batch path at gigascale geometry.
+BENCH_PKGS    ?= . ./internal/sim ./internal/ckpt ./internal/dramcache
 
 # Lint: staticcheck at a pinned version, resolved through the module
 # proxy by `go run` (not a repo dependency). Requires network access on

@@ -18,7 +18,21 @@ import "accord/internal/memtypes"
 const FunctionalWrite uint8 = 1 << 0
 
 // FunctionalBatch implements Interface for the set-associative cache.
+//
+// At gigascale geometries the tag store is far larger than the host's
+// caches, so nearly every findWay is a host-memory miss, and the per-event
+// loop serializes them: each lookup's branch decides the next event's
+// work. A first pass therefore loads every event's set — independent
+// loads the out-of-order core overlaps — and only then runs the per-event
+// loop over warm host cache lines. The pass reads state and writes only
+// prefetchSink, so the cache state left behind is unchanged.
 func (c *Cache) FunctionalBatch(lines []memtypes.LineAddr, flags []uint8) {
+	meta, ways, mask := c.meta, uint64(c.ways), c.setMask
+	var sink uint64
+	for _, line := range lines {
+		sink += meta[(uint64(line)&mask)*ways].tag
+	}
+	c.prefetchSink = sink
 	for i, line := range lines {
 		if flags[i]&FunctionalWrite != 0 {
 			c.WritebackFunctional(line)

@@ -372,6 +372,10 @@ type Cache struct {
 	stats   Stats
 	candBuf []int
 	probes  []int
+
+	// prefetchSink consumes FunctionalBatch's tag-store touch pass so the
+	// compiler keeps the loads. It is not cache state and never snapshotted.
+	prefetchSink uint64
 }
 
 // New builds the cache. The policy's geometry must match the configured

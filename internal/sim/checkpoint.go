@@ -70,7 +70,7 @@ func (s *System) WarmKey(wlName string) string {
 // the embedded fingerprint documents the configuration the state belongs
 // to and is re-verified on Restore.
 func (s *System) Snapshot(wlName string) ([]byte, error) {
-	e := ckpt.NewEncoder(1 << 20)
+	e := snapshotEncoder(s.warmBlobLen)
 	e.Raw([]byte(snapshotMagic))
 	e.U32(SnapshotSchema)
 	e.String(s.WarmFingerprint(wlName))
@@ -96,7 +96,9 @@ func (s *System) Snapshot(wlName string) ([]byte, error) {
 			h.Snapshot(e)
 		}
 	}
-	return e.Finish(), nil
+	blob := e.Finish()
+	s.warmBlobLen = len(blob)
+	return blob, nil
 }
 
 // FunctionalSnapshot serializes exactly the state functional
@@ -111,7 +113,7 @@ func (s *System) Snapshot(wlName string) ([]byte, error) {
 // on it by construction. The differential tests compare these bytes
 // across the two modes at the warmup boundary.
 func (s *System) FunctionalSnapshot(wlName string) ([]byte, error) {
-	e := ckpt.NewEncoder(1 << 20)
+	e := snapshotEncoder(s.funcBlobLen)
 	e.Raw([]byte(snapshotMagic))
 	e.U32(SnapshotSchema)
 	e.String(s.WarmFingerprint(wlName))
@@ -132,7 +134,22 @@ func (s *System) FunctionalSnapshot(wlName string) ([]byte, error) {
 			h.Snapshot(e)
 		}
 	}
-	return e.Finish(), nil
+	blob := e.Finish()
+	s.funcBlobLen = len(blob)
+	return blob, nil
+}
+
+// snapshotEncoder sizes a snapshot encoder from the length of the
+// previous blob of the same kind (0 before the first): that length
+// already includes the trailing CRC, and 1/64 of slack absorbs the
+// growth between boundaries (page tables fill in as the workload touches
+// new pages), so a multi-MiB blob is allocated once instead of being
+// regrown from the fixed first-blob hint.
+func snapshotEncoder(prevLen int) *ckpt.Encoder {
+	if prevLen == 0 {
+		return ckpt.NewEncoder(1 << 20)
+	}
+	return ckpt.NewEncoder(prevLen + prevLen/64)
 }
 
 // Restore loads a warm-state snapshot into a freshly constructed system

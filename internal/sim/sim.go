@@ -338,6 +338,9 @@ type System struct {
 	// metrics: dispatch/discard counts and timings depend on scheduling,
 	// and sampled outputs must stay byte-identical at every worker count.
 	work SampleWork
+	// warmBlobLen and funcBlobLen are the lengths of the last Snapshot
+	// and FunctionalSnapshot blobs, the size hints for the next ones.
+	warmBlobLen, funcBlobLen int
 
 	// advanceUntil bookkeeping, reused across the warmup and measure
 	// phases to keep the run loop allocation-free.
