@@ -5,9 +5,10 @@
 // stream over the 64-million-line tag array, warmed functionally and
 // measured in SMARTS-style detailed windows.
 //
-// It runs the same sampled simulation four times: sequentially
-// (SampleWorkers=1), with a worker pool that executes the detailed
-// windows concurrently off the functional spine, then twice more
+// It runs the same sampled simulation four times: with one worker
+// running the detailed windows off the functional spine
+// (SampleWorkers=1), with a worker pool that executes them
+// concurrently, then twice more
 // against a spine checkpoint lattice — a populating run that saves
 // every boundary snapshot in the background (its wall-clock against
 // the plain parallel run is the population overhead) and a resumed run
@@ -16,7 +17,8 @@
 // All four produce byte-identical results by construction; the example
 // checks that too.
 //
-// Expect roughly a gigabyte of resident memory (per live fork). The
+// Expect roughly a gigabyte of resident memory per System: the spine's
+// plus one per live fork, so even the one-worker leg holds two. The
 // windows are fixed (adaptive sizing is disabled) so the instruction
 // budget is exactly what is configured. Pass -quick for a scaled-down
 // smoke run, -workers to size the pool, -spine-dir to keep the lattice
@@ -109,16 +111,16 @@ func main() {
 		return res, s.SampleWork(), time.Since(start)
 	}
 
-	fmt.Printf("sequential run (1 worker)...\n")
-	seqRes, _, seqT := run(1, "")
+	fmt.Printf("one-worker run (1 worker off the spine)...\n")
+	oneRes, _, oneT := run(1, "")
 	fmt.Printf("  %.1fs wall (%.1f M instr/s)\n",
-		seqT.Seconds(), float64(seqRes.InstructionsTotal)/seqT.Seconds()/1e6)
+		oneT.Seconds(), float64(oneRes.InstructionsTotal)/oneT.Seconds()/1e6)
 
 	fmt.Printf("parallel run (%d workers)...\n", *workers)
 	parRes, parWork, parT := run(*workers, "")
-	fmt.Printf("  %.1fs wall (%.1f M instr/s) — %.2fx over sequential\n",
+	fmt.Printf("  %.1fs wall (%.1f M instr/s) — %.2fx over one worker\n",
 		parT.Seconds(), float64(parRes.InstructionsTotal)/parT.Seconds()/1e6,
-		seqT.Seconds()/parT.Seconds())
+		oneT.Seconds()/parT.Seconds())
 
 	// The functional spine is the serial fraction; the detailed windows
 	// are the parallel work. With W workers the windows overlap each
@@ -131,10 +133,10 @@ func main() {
 		100*parWork.DetailTime.Seconds()/(parT.Seconds()*float64(parWork.Workers)))
 	fmt.Printf("  intervals: %d dispatched, %d committed, %d speculative discarded\n",
 		parWork.Dispatched, parWork.Committed, parWork.Discarded)
-	if !reflect.DeepEqual(seqRes, parRes) {
-		fmt.Println("  ERROR: parallel result diverged from sequential")
+	if !reflect.DeepEqual(oneRes, parRes) {
+		fmt.Println("  ERROR: parallel result diverged from the one-worker run")
 	} else {
-		fmt.Println("  results identical to sequential: yes")
+		fmt.Println("  results identical to one worker: yes")
 	}
 
 	// Third leg: memoize the functional spine through the checkpoint
@@ -159,8 +161,8 @@ func main() {
 
 	fmt.Printf("lattice-resumed run (%d workers)...\n", *workers)
 	resRes, resWork, resT := run(*workers, dir)
-	fmt.Printf("  %.1fs wall — %.2fx over the populating run, %.2fx over sequential\n",
-		resT.Seconds(), popT.Seconds()/resT.Seconds(), seqT.Seconds()/resT.Seconds())
+	fmt.Printf("  %.1fs wall — %.2fx over the populating run, %.2fx over one worker\n",
+		resT.Seconds(), popT.Seconds()/resT.Seconds(), oneT.Seconds()/resT.Seconds())
 	fmt.Printf("  lattice: %d hits, %d misses; spine %.1fs (was %.1fs cold)\n",
 		resWork.LatticeHits, resWork.LatticeMisses,
 		resWork.SpineTime.Seconds(), popWork.SpineTime.Seconds())

@@ -132,17 +132,16 @@ func (c *Core) StepFunctionalBatch(target int64) {
 // freshly constructed core that has already retired the current
 // functional state: clock at zero, MSHRs idle, MSHR-stall count zero,
 // window marks at the current position, translation memo cold. Interval
-// sampling calls this at every detailed-window boundary so each
-// measured window starts from the same canonical timing state whether
-// it runs in place on the spine's System or on a restored fork —
-// that shared canonical start is what makes sequential and parallel
-// sampled runs byte-identical (DESIGN.md §12).
+// sampling calls this at every detailed-window boundary — on the spine
+// before it snapshots, and after every restore into a fork — so each
+// measured window starts from the same canonical timing state whichever
+// fork runs it; that shared canonical start is what makes sampled runs
+// byte-identical at any worker count (DESIGN.md §12).
 func (c *Core) ResetSampleTiming() {
 	c.time = 0
 	for i := range c.mshr {
 		c.mshr[i] = 0
 	}
-	c.invalidateMSHRCache()
 	c.mshrStalls = 0
 	c.markTime = 0
 	c.markInstr = c.instr

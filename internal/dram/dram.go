@@ -470,8 +470,7 @@ func (d *Device) ResetStats() { d.stats = Stats{} }
 
 // SetStats replaces the cumulative statistics wholesale. Interval
 // sampling uses it to impose the committed per-interval aggregates on
-// the final device after the measured windows ran elsewhere (in-place
-// or on fork systems).
+// the final device after the measured windows ran on fork systems.
 func (d *Device) SetStats(s Stats) { d.stats = s }
 
 // Add accumulates o into s field by field; Stats is a plain sum type,
@@ -495,9 +494,9 @@ func (s *Stats) Add(o Stats) {
 // backlogs drained — without touching the statistics. A device after
 // ResetTiming is behaviorally indistinguishable from a freshly
 // constructed one (stale ring entries past busyCount are never read).
-// Interval sampling calls it at each detailed-window boundary so
-// in-place and fork-restored measured windows start from the same
-// canonical device state.
+// Interval sampling calls it at each detailed-window boundary so every
+// fork-restored measured window starts from the same canonical device
+// state.
 func (d *Device) ResetTiming() {
 	for i := range d.channels {
 		ch := &d.channels[i]

@@ -325,7 +325,7 @@ func (s *Session) run(worker int, cfg sim.Config, workload string) sim.Result {
 	defer close(e.done)
 	start := time.Now()
 	wl := workloads.MustGet(workload, cfg.Cores)
-	if s.traces != nil && wl.Streams == nil && wl.Source == nil {
+	if s.traces != nil && wl.Source == nil {
 		wl.Source = s.traces.Source(wl.Specs, cfg.AnchorLines(), cfg.Seed)
 	}
 	var info sim.RunInfo

@@ -132,7 +132,7 @@ func TestMemoKeyDistinguishesConfigs(t *testing.T) {
 
 // TestSampleWorkersPureStrategy pins the contract that lets SampleWorkers
 // stay out of the memo key: a sampled session running detailed windows on
-// 3 worker goroutines returns results deep-equal to a sequential one, so
+// 3 worker goroutines returns results deep-equal to a one-worker one, so
 // memo entries produced at one worker count are valid at any other.
 func TestSampleWorkersPureStrategy(t *testing.T) {
 	sampled := func(workers int) Params {

@@ -25,8 +25,8 @@ func TestDetailedWindowZeroAlloc(t *testing.T) {
 			cfg := bc.cfg
 			cfg.Cores = 1
 			t.Run(fmt.Sprintf("%s/%s", engine, bc.name), func(t *testing.T) {
-				UseGenericEngine(generic)
-				defer UseGenericEngine(false)
+				forceGenericAdapter = generic
+				defer func() { forceGenericAdapter = false }()
 				wl := workloads.MustGet("libquantum", cfg.Cores)
 				s := New(cfg, wl)
 				s.RunWarmupFunctional()

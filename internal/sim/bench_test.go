@@ -80,9 +80,9 @@ func BenchmarkSampledRun(b *testing.B) {
 	b.Run("exact", func(b *testing.B) { run(b, exact) })
 }
 
-// BenchmarkSampledParallel measures the parallel interval-sampling
-// driver against the sequential one on the same sampled run: detailed
-// windows fork off the functional spine onto a worker pool and commit
+// BenchmarkSampledParallel measures the interval-sampling driver at
+// several worker counts on the same sampled run: detailed windows fork
+// off the functional spine onto a worker pool and commit
 // in interval order, so wall-clock should approach
 // max(spine, detail/workers) on real cores. Results are byte-identical
 // at every worker count (TestSampledParallelMatchesSequential), so the

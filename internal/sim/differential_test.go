@@ -68,8 +68,8 @@ func engineCases() []struct {
 // after the run so it covers the final simulated state).
 func runEngine(t *testing.T, cfg Config, generic, sampled bool) (Result, []byte, []byte) {
 	t.Helper()
-	UseGenericEngine(generic)
-	defer UseGenericEngine(false)
+	forceGenericAdapter = generic
+	defer func() { forceGenericAdapter = false }()
 	const wlName = "libquantum"
 	wl := workloads.MustGet(wlName, cfg.Cores)
 	if sampled {
@@ -158,11 +158,11 @@ func TestDispatchSpecializes(t *testing.T) {
 		if _, isGeneric := m.(memAdapter); isGeneric {
 			t.Errorf("%s: newMemAdapter fell back to the generic engine for %T", bc.name, s.l4)
 		}
-		UseGenericEngine(true)
+		forceGenericAdapter = true
 		m = newMemAdapter(s.l4)
-		UseGenericEngine(false)
+		forceGenericAdapter = false
 		if _, isGeneric := m.(memAdapter); !isGeneric {
-			t.Errorf("%s: UseGenericEngine(true) did not force the generic engine (got %T)", bc.name, m)
+			t.Errorf("%s: forceGenericAdapter did not force the generic engine (got %T)", bc.name, m)
 		}
 	}
 }

@@ -24,21 +24,13 @@ import (
 // dictionary — dynamic dispatch again, just spelled differently.
 
 // forceGenericAdapter, when true, makes newMemAdapter return the generic
-// interface-dispatch memAdapter regardless of backend type. It exists
-// for the specialized-vs-generic differential suite and for the CLIs'
-// -engine flag (UseGenericEngine); the zero value is the production
-// fast path. Like forceFreshForkSystems it is deliberately not part of
-// Config: engine choice must never change results, so it has no place
-// in memo keys or warm fingerprints.
+// interface-dispatch memAdapter regardless of backend type. Test hook
+// for the specialized-vs-generic differential, allocation, and spine
+// suites; the zero value is the production fast path. Like
+// forceFreshForkSystems it is deliberately not part of Config: engine
+// choice must never change results, so it has no place in memo keys or
+// warm fingerprints.
 var forceGenericAdapter = false
-
-// UseGenericEngine routes all subsequently built Systems (including
-// sampling forks) through the generic interface-dispatch engine instead
-// of the backend-specialized one. Results are byte-identical either way
-// — the differential suite enforces that — so this exists only to make
-// the fallback engine reachable from the CLIs for cross-checking and
-// timing. Not safe to toggle concurrently with New.
-func UseGenericEngine(on bool) { forceGenericAdapter = on }
 
 // newMemAdapter returns the post-L3-stream memory adapter for l4,
 // specialized to the backend's concrete type when known.

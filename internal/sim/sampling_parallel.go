@@ -14,8 +14,8 @@ import (
 // pool; each worker restores the blob into its own fork System and runs
 // the detailed warm+measured legs there. Results are committed strictly
 // in interval order on the caller's goroutine, so the observation
-// sequence — and therefore the early-stop decision — is identical to
-// the sequential sampler's at any worker count.
+// sequence — and therefore the early-stop decision — is identical at
+// any worker count, one included.
 //
 // Speculation accounting: the spine runs ahead of the committed prefix
 // by up to the jobs-channel buffer plus the in-flight workers (~2x the
@@ -38,8 +38,7 @@ var forceFreshForkSystems = false
 // exported metrics, which are identical at any worker count.
 type SampleWork struct {
 	// Workers is the resolved worker count actually used (after the
-	// GOMAXPROCS default, the planned-interval cap, and the forkability
-	// gate).
+	// GOMAXPROCS default and the planned-interval cap).
 	Workers int
 	// Dispatched counts intervals whose detailed legs were started;
 	// Committed counts those folded into the result (always the ordered
@@ -95,7 +94,8 @@ type sampleJob struct {
 }
 
 // runSampledParallel drives intervals on a worker pool fed by a
-// functional spine. The caller's goroutine is the committer.
+// functional spine — the only sampling driver, at every worker count.
+// The caller's goroutine is the committer.
 //
 // With a lattice, the spine probes each boundary before computing it. A
 // hit dispatches the stored blob without touching the live system, which
@@ -173,7 +173,7 @@ func (s *System) runSampledParallel(st *sampleState, workers int, lat *spineLatt
 				s.resetIntervalState()
 				b, err := s.FunctionalSnapshot(st.wlName)
 				if err != nil {
-					panic(fmt.Sprintf("sim: interval snapshot failed after passing the forkability trial: %v", err))
+					panic(fmt.Sprintf("sim: interval snapshot failed after passing RunSampled's trial snapshot: %v", err))
 				}
 				blob = b
 				lastBlob = b

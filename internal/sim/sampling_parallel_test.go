@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,13 +77,60 @@ func runSampledWorkers(t *testing.T, cfg Config, wl workloads.Workload, wlName s
 	return res, js, state, s.SampleWork()
 }
 
+// runSampledInPlace is the single-core reference the sampling driver is
+// checked against: the SMARTS loop with every interval's detailed legs
+// run on the live system, each functional advance continuing from
+// wherever the previous legs ended. For one core that trajectory is
+// byte-equivalent to the driver's fork protocol (DESIGN.md §9):
+// functional and detailed execution of the same events leave identical
+// functional state, and absolute leg targets make both consume the same
+// events. It shares no code with the spine, the worker pool, or the
+// lattice; finishSampled canonicalizes its final state from the last
+// boundary snapshot of the in-place trajectory.
+func runSampledInPlace(t *testing.T, cfg Config, wl workloads.Workload, wlName string) (Result, []byte, []byte) {
+	t.Helper()
+	s := New(cfg, wl)
+	sc := cfg.Sampling
+	st := newSampleState(sc, int(cfg.MeasureInstr/sc.Period), 1, wlName)
+	c := s.cores[0]
+	s.RunWarmupFunctional()
+	next := []int64{c.Instructions() + sc.Period - sc.WarmLen - sc.DetailLen}
+	for k := 0; ; k++ {
+		s.advanceFunctional(next)
+		s.resetIntervalState()
+		blob, err := s.FunctionalSnapshot(wlName)
+		if err != nil {
+			t.Fatalf("boundary snapshot: %v", err)
+		}
+		next[0] = c.Instructions() + sc.Period
+		r := s.measureInterval(sc)
+		r.index, r.blob = k, blob
+		if st.commit(r) {
+			break
+		}
+	}
+	res := s.finishSampled(st, wlName)
+	js, err := json.MarshalIndent(res.Metrics, "", " ")
+	if err != nil {
+		t.Fatalf("marshal metrics: %v", err)
+	}
+	state, err := s.FunctionalSnapshot(wlName)
+	if err != nil {
+		t.Fatalf("final FunctionalSnapshot: %v", err)
+	}
+	return res, js, state
+}
+
 // TestSampledParallelMatchesSequential is the tentpole equivalence gate:
 // for every L4 organization, single- and multi-core, with and without
-// early stopping, a parallel sampled run must reproduce the sequential
-// run exactly — same Result (summary, per-interval series, stats,
-// registry snapshot), same exported metrics JSON, and byte-identical
-// final functional state — at every worker count. Run it under -race to
-// also prove the fork protocol shares no state it shouldn't.
+// early stopping, the sampling driver must reproduce its reference
+// exactly — same Result (summary, per-interval series, stats, registry
+// snapshot), same exported metrics JSON, and byte-identical final
+// functional state — at every worker count. Single-core runs are held to
+// the in-place oracle above; multi-core runs, whose functional and
+// detailed interleavings differ, to the driver at one worker. Run it
+// under -race to also prove the fork protocol shares no state it
+// shouldn't.
 func TestSampledParallelMatchesSequential(t *testing.T) {
 	const wlName = "libquantum"
 	for _, cores := range []int{1, 2} {
@@ -93,29 +141,37 @@ func TestSampledParallelMatchesSequential(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					wl := traceWorkload(wlName, cfg)
-					seqRes, seqJS, seqState, seqWork := runSampledWorkers(t, cfg, wl, wlName, 1)
-					if seqWork.Workers != 1 {
-						t.Fatalf("sequential run resolved %d workers, want 1", seqWork.Workers)
+					workers := []int{1, 2, 3}
+					var refRes Result
+					var refJS, refState []byte
+					if cores == 1 {
+						refRes, refJS, refState = runSampledInPlace(t, cfg, wl, wlName)
+					} else {
+						refRes, refJS, refState, _ = runSampledWorkers(t, cfg, wl, wlName, 1)
+						workers = workers[1:]
 					}
-					for _, workers := range []int{2, 3} {
-						parRes, parJS, parState, parWork := runSampledWorkers(t, cfg, wl, wlName, workers)
-						if !reflect.DeepEqual(seqRes, parRes) {
-							t.Errorf("workers=%d: Result diverged from sequential\nseq sampled: %+v\npar sampled: %+v",
-								workers, seqRes.Sampled, parRes.Sampled)
+					for _, w := range workers {
+						res, js, state, work := runSampledWorkers(t, cfg, wl, wlName, w)
+						if work.Workers != w {
+							t.Fatalf("SampleWorkers=%d resolved %d workers", w, work.Workers)
 						}
-						if !bytes.Equal(seqJS, parJS) {
-							t.Errorf("workers=%d: exported metrics JSON diverged from sequential", workers)
+						if !reflect.DeepEqual(refRes, res) {
+							t.Errorf("workers=%d: Result diverged from the reference\nref sampled: %+v\ngot sampled: %+v",
+								w, refRes.Sampled, res.Sampled)
 						}
-						if !bytes.Equal(seqState, parState) {
-							t.Errorf("workers=%d: final functional state diverged from sequential (%d vs %d bytes)",
-								workers, len(seqState), len(parState))
+						if !bytes.Equal(refJS, js) {
+							t.Errorf("workers=%d: exported metrics JSON diverged from the reference", w)
 						}
-						if parWork.Committed != seqRes.Sampled.Intervals {
+						if !bytes.Equal(refState, state) {
+							t.Errorf("workers=%d: final functional state diverged from the reference (%d vs %d bytes)",
+								w, len(refState), len(state))
+						}
+						if work.Committed != refRes.Sampled.Intervals {
 							t.Errorf("workers=%d: committed %d intervals, summary says %d",
-								workers, parWork.Committed, seqRes.Sampled.Intervals)
+								w, work.Committed, refRes.Sampled.Intervals)
 						}
-						if parWork.Discarded != parWork.Dispatched-parWork.Committed {
-							t.Errorf("workers=%d: speculation accounting broken: %+v", workers, parWork)
+						if work.Discarded != work.Dispatched-work.Committed {
+							t.Errorf("workers=%d: speculation accounting broken: %+v", w, work)
 						}
 					}
 				})
@@ -134,7 +190,7 @@ func TestSampledParallelGeneratorWorkload(t *testing.T) {
 	seqRes, seqJS, seqState, _ := runSampledWorkers(t, cfg, wl, "milc", 1)
 	parRes, parJS, parState, _ := runSampledWorkers(t, cfg, wl, "milc", 3)
 	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Errorf("generator workload: parallel Result diverged from sequential")
+		t.Errorf("generator workload: Result diverged between 1 and 3 workers")
 	}
 	if !bytes.Equal(seqJS, parJS) {
 		t.Errorf("generator workload: exported metrics JSON diverged")
@@ -195,8 +251,7 @@ func TestSampledParallelNoGoroutineLeak(t *testing.T) {
 }
 
 // TestSampleWorkersResolution pins the worker-count policy: 0 means
-// GOMAXPROCS, the count is capped by planned intervals, and non-forkable
-// systems (pre-built stream overrides) degrade to one worker.
+// GOMAXPROCS, and the count is capped by planned intervals.
 func TestSampleWorkersResolution(t *testing.T) {
 	cfg := parallelCases(1, false)[0] // 6 planned intervals
 	wl := traceWorkload("libquantum", cfg)
@@ -214,22 +269,60 @@ func TestSampleWorkersResolution(t *testing.T) {
 	if work.Workers != 6 {
 		t.Errorf("SampleWorkers=64 resolved to %d workers, want planned cap 6", work.Workers)
 	}
+}
 
-	// A Streams override hands the system shared pre-built stream objects;
-	// forks would consume them destructively, so the run must degrade to
-	// one worker (and still complete correctly).
-	gen := workloads.MustGet("libquantum", cfg.Cores)
-	streams := make([]workloads.Stream, len(gen.Specs))
-	for i, spec := range gen.Specs {
-		streams[i] = workloads.NewStream(spec, cfg.AnchorLines(), cfg.Cores, cfg.Seed)
+// TestSampledTraceWorkloadWorkerInvariant runs a multi-core sampled
+// replay of a trace file's events — the workload accordsim -trace
+// builds — and requires the same Result, metrics JSON, and final
+// functional state at every worker count: every fork replays the trace
+// from its own fresh streams, restored to the spine's positions.
+func TestSampledTraceWorkloadWorkerInvariant(t *testing.T) {
+	cfg := parallelCases(2, true)[1] // accord-2way, early stop
+	gen := workloads.MustGet("gcc", cfg.Cores)
+	st := workloads.NewStream(gen.Specs[0], cfg.AnchorLines(), cfg.Cores, 1)
+	events := make([]workloads.Event, 20000)
+	for i := range events {
+		st.Next(&events[i])
 	}
-	fixed := gen
-	fixed.Streams = streams
-	res, _, _, work := runSampledWorkers(t, cfg, fixed, "libquantum", 4)
-	if work.Workers != 1 {
-		t.Errorf("Streams-override workload resolved to %d workers, want 1", work.Workers)
+	wl, err := workloads.TraceWorkload("gcc-trace", events, cfg.Cores)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Sampled == nil || res.Sampled.Intervals == 0 {
-		t.Errorf("degraded run produced no intervals")
+	refRes, refJS, refState, _ := runSampledWorkers(t, cfg, wl, wl.Name, 1)
+	if refRes.Sampled == nil || refRes.Sampled.Intervals == 0 {
+		t.Fatalf("trace replay produced no intervals")
 	}
+	for _, workers := range []int{2, 3} {
+		res, js, state, work := runSampledWorkers(t, cfg, wl, wl.Name, workers)
+		if work.Workers != workers {
+			t.Errorf("workers=%d: trace workload resolved %d workers", workers, work.Workers)
+		}
+		if !reflect.DeepEqual(refRes, res) || !bytes.Equal(refJS, js) || !bytes.Equal(refState, state) {
+			t.Errorf("workers=%d: trace replay diverged from the one-worker run", workers)
+		}
+	}
+}
+
+// noCkptStream is a Stream without snapshot support, like an
+// out-of-tree stream implementation.
+type noCkptStream struct{}
+
+func (noCkptStream) Next(ev *workloads.Event) { *ev = workloads.Event{Gap: 10, Line: 1} }
+
+// TestRunSampledRejectsNonForkable pins that a system whose functional
+// state cannot snapshot is refused up front: RunSampled panics on the
+// caller's goroutine — recoverable here, which a panic on the spine or a
+// worker would not be — naming the cause.
+func TestRunSampledRejectsNonForkable(t *testing.T) {
+	cfg := parallelCases(1, false)[0]
+	wl := workloads.MustGet("libquantum", cfg.Cores)
+	wl.Source = func(int) workloads.Stream { return noCkptStream{} }
+	s := New(cfg, wl)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "cannot snapshot its functional state") {
+			t.Errorf("RunSampled panic = %q, want the snapshot-support message", msg)
+		}
+	}()
+	s.Run("libquantum")
 }

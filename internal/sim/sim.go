@@ -109,7 +109,7 @@ type Config struct {
 	// concurrently in a sampled run (see DESIGN.md §12): a single spine
 	// goroutine fast-forwards functionally and forks each interval's
 	// detailed re-warm + measured window onto a worker pool. Zero selects
-	// GOMAXPROCS; 1 forces the sequential driver. Results are identical
+	// GOMAXPROCS; 1 runs one fork beside the spine. Results are identical
 	// at every setting by construction — observations, SampleSummary, and
 	// exported metrics are byte-for-byte the same — so this field only
 	// changes wall-clock time and is excluded from memo keys and warm
@@ -465,17 +465,11 @@ func New(cfg Config, wl workloads.Workload) *System {
 		params.SRAMLat = 0
 	}
 	anchor := cfg.AnchorLines()
-	if wl.Streams != nil && len(wl.Streams) != cfg.Cores {
-		panic(fmt.Sprintf("sim: workload %s has %d streams for %d cores", wl.Name, len(wl.Streams), cfg.Cores))
-	}
 	for i := 0; i < cfg.Cores; i++ {
 		var stream workloads.Stream
-		switch {
-		case wl.Source != nil:
+		if wl.Source != nil {
 			stream = wl.Source(i)
-		case wl.Streams != nil:
-			stream = wl.Streams[i]
-		default:
+		} else {
 			stream = workloads.NewStream(wl.Specs[i], anchor, cfg.Cores, workloads.StreamSeed(cfg.Seed, i))
 		}
 		space := vmsys.NewSpace()

@@ -367,7 +367,8 @@ func TestStreamCountMismatchPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl.Specs = wl.Specs[:cfg.Cores] // specs match, streams do not
+	// A trace workload built for the wrong core count carries one spec
+	// (and one stream) per core it was built for.
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic for stream/core mismatch")

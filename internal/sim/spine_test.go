@@ -136,8 +136,8 @@ func TestSpineLatticeEngineExcluded(t *testing.T) {
 
 	runSampledWorkers(t, latticeCfg(cfg, dir), wl, wlName, 2)
 
-	UseGenericEngine(true)
-	defer UseGenericEngine(false)
+	forceGenericAdapter = true
+	defer func() { forceGenericAdapter = false }()
 	coldRes, coldJS, coldState, _ := runSampledWorkers(t, cfg, wl, wlName, 2)
 	res, js, state, work := runSampledWorkers(t, latticeCfg(cfg, dir), wl, wlName, 2)
 	if work.LatticeHits == 0 || work.LatticeMisses != 0 {
@@ -235,9 +235,7 @@ func TestSpineLatticeCorruptionFallsBackCold(t *testing.T) {
 
 // TestSpineLatticeStride pins the stride contract: SpineStride N saves
 // every Nth boundary, so a resumed run hits exactly those and recomputes
-// the rest — still byte-identical to cold. Covers both the in-place
-// single-core driver (snapshots exist only because the stride selects
-// them) and the forking multi-core driver.
+// the rest — still byte-identical to cold, single- and multi-core.
 func TestSpineLatticeStride(t *testing.T) {
 	const wlName = "libquantum"
 	for _, cores := range []int{1, 2} {
@@ -261,40 +259,6 @@ func TestSpineLatticeStride(t *testing.T) {
 				t.Errorf("stride-2 resumed run diverged from cold")
 			}
 		})
-	}
-}
-
-// TestSpineLatticeNonForkableDegrades pins the degradation path: a
-// system that cannot snapshot its workload (pre-built Streams override)
-// silently runs without the lattice — one worker, no lattice traffic, no
-// store files — instead of failing or saving unusable state.
-func TestSpineLatticeNonForkableDegrades(t *testing.T) {
-	cfg := parallelCases(1, false)[0]
-	gen := workloads.MustGet("libquantum", cfg.Cores)
-	streams := make([]workloads.Stream, len(gen.Specs))
-	for i, spec := range gen.Specs {
-		streams[i] = workloads.NewStream(spec, cfg.AnchorLines(), cfg.Cores, cfg.Seed)
-	}
-	fixed := gen
-	fixed.Streams = streams
-
-	dir := t.TempDir()
-	res, _, _, work := runSampledWorkers(t, latticeCfg(cfg, dir), fixed, "libquantum", 4)
-	if work.Workers != 1 {
-		t.Errorf("non-forkable lattice run resolved %d workers, want 1", work.Workers)
-	}
-	if work.LatticeHits != 0 || work.LatticeMisses != 0 {
-		t.Errorf("non-forkable run touched the lattice: %+v", work)
-	}
-	if res.Sampled == nil || res.Sampled.Intervals == 0 {
-		t.Errorf("degraded run produced no intervals")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("non-forkable run created %d store entries, want an untouched directory", len(entries))
 	}
 }
 

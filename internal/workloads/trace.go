@@ -82,8 +82,10 @@ func ReadTrace(r io.Reader) (*FixedStream, error) {
 }
 
 // TraceWorkload builds a Workload replaying the given events on every
-// core. Cores share the event sequence but hold independent replay
-// positions (and separate address spaces, so rate-mode semantics apply).
+// core. Cores share the immutable event slice but hold independent replay
+// positions (and separate address spaces, so rate-mode semantics apply);
+// the Source factory hands every system — sampling forks included — fresh
+// streams at event zero.
 // The spec's MPKI is derived from the trace's mean gap so the simulator's
 // adaptive windows size themselves correctly.
 func TraceWorkload(name string, events []Event, cores int) (Workload, error) {
@@ -104,7 +106,7 @@ func TraceWorkload(name string, events []Event, cores int) (Workload, error) {
 	w := Workload{Name: name, Suite: "trace"}
 	for i := 0; i < cores; i++ {
 		w.Specs = append(w.Specs, spec)
-		w.Streams = append(w.Streams, &FixedStream{Events: events})
 	}
+	w.Source = func(int) Stream { return &FixedStream{Events: events} }
 	return w, nil
 }
