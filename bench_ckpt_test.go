@@ -88,14 +88,14 @@ func BenchmarkCkptWarmRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Populate the store once; every timed iteration must then restore.
-	if _, restored := sim.RunWithStore(cfg, workloads.MustGet(ckptBenchWorkload, cfg.Cores), store, ckptBenchWorkload); restored {
+	if _, info := sim.RunWithStore(cfg, workloads.MustGet(ckptBenchWorkload, cfg.Cores), store, ckptBenchWorkload); info.Restored {
 		b.Fatal("first run unexpectedly found a checkpoint")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wl := workloads.MustGet(ckptBenchWorkload, cfg.Cores)
-		if _, restored := sim.RunWithStore(cfg, wl, store, ckptBenchWorkload); !restored {
+		if _, info := sim.RunWithStore(cfg, wl, store, ckptBenchWorkload); !info.Restored {
 			b.Fatal("warm run fell back to a cold simulation")
 		}
 	}

@@ -130,7 +130,7 @@ func main() {
 	}
 
 	man := metrics.NewManifest("accordsim", flagConfig(), cfg.Seed)
-	res, info := sim.RunWithStoreInfo(cfg, wl, store, wl.Name)
+	res, info := sim.RunWithStore(cfg, wl, store, wl.Name)
 	if info.Restored {
 		fmt.Fprintf(os.Stderr, "accordsim: restored warm state from %s\n", *ckptDir)
 	}

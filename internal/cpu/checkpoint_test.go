@@ -41,7 +41,7 @@ func TestCoreRoundTrip(t *testing.T) {
 		c.Step()
 	}
 	e := ckpt.NewEncoder(0)
-	if err := c.Snapshot(e); err != nil {
+	if err := c.Snapshot(e, true); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	blob := e.Finish()
@@ -51,7 +51,7 @@ func TestCoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Restore(d); err != nil {
+	if err := fresh.Restore(d, true); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if d.Remaining() != 0 {
@@ -81,7 +81,7 @@ func TestCoreRoundTrip(t *testing.T) {
 func TestCoreSnapshotRequiresCheckpointableStream(t *testing.T) {
 	ident := func(l memtypes.LineAddr) memtypes.LineAddr { return l }
 	c := New(0, DefaultParams(), noCkptStream{}, ident, &fixedLatMem{})
-	if err := c.Snapshot(ckpt.NewEncoder(0)); err == nil {
+	if err := c.Snapshot(ckpt.NewEncoder(0), true); err == nil {
 		t.Error("Snapshot succeeded with a non-checkpointable stream")
 	}
 }
@@ -94,14 +94,14 @@ func TestCoreRestoreRejectsBadInput(t *testing.T) {
 		c.Step()
 	}
 	e := ckpt.NewEncoder(0)
-	if err := c.Snapshot(e); err != nil {
+	if err := c.Snapshot(e, true); err != nil {
 		t.Fatal(err)
 	}
 	blob := e.Finish()
 	payload := blob[:len(blob)-4]
 
 	bad := append([]byte{payload[0] + 1}, payload[1:]...)
-	if err := testCore(8).Restore(ckpt.NewDecoder(bad)); err == nil {
+	if err := testCore(8).Restore(ckpt.NewDecoder(bad), true); err == nil {
 		t.Error("version-bumped snapshot accepted")
 	}
 	// A core with a different MSHR count must reject the snapshot.
@@ -109,11 +109,11 @@ func TestCoreRestoreRejectsBadInput(t *testing.T) {
 	p.MSHRs = 4
 	ident := func(l memtypes.LineAddr) memtypes.LineAddr { return l }
 	other := New(0, p, testStream(8), ident, &fixedLatMem{})
-	if err := other.Restore(ckpt.NewDecoder(payload)); err == nil {
+	if err := other.Restore(ckpt.NewDecoder(payload), true); err == nil {
 		t.Error("MSHR-count mismatch accepted")
 	}
 	for n := 0; n < len(payload); n += 1 + n/8 {
-		if err := testCore(8).Restore(ckpt.NewDecoder(payload[:n])); err == nil {
+		if err := testCore(8).Restore(ckpt.NewDecoder(payload[:n]), true); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}

@@ -148,7 +148,6 @@ type key struct {
 	Ways           int
 	Lookup         dramcache.Lookup
 	LRUReplacement bool
-	UseCA          bool
 	Backend        string
 	FullHierarchy  bool
 
@@ -182,7 +181,6 @@ func makeKey(cfg sim.Config, workload string) key {
 		Ways:                   cfg.Ways,
 		Lookup:                 cfg.Lookup,
 		LRUReplacement:         cfg.LRUReplacement,
-		UseCA:                  cfg.UseCA,
 		Backend:                cfg.BackendName(),
 		FullHierarchy:          cfg.FullHierarchy,
 		NVMCapacityFull:        cfg.NVMCapacityFull,
@@ -333,7 +331,7 @@ func (s *Session) run(worker int, cfg sim.Config, workload string) sim.Result {
 	// point: `go tool pprof -tags` breaks time down by config and
 	// workload, and label filters (-tagfocus) isolate one of either.
 	pprof.Do(context.Background(), pprof.Labels("config", cfg.Name, "workload", workload), func(context.Context) {
-		e.res, info = sim.RunWithStoreInfo(cfg, wl, s.store, workload)
+		e.res, info = sim.RunWithStore(cfg, wl, s.store, workload)
 	})
 	s.addWork(info.Work)
 	s.progress(worker, cfg.Name, workload, e.res, info.Restored, time.Since(start))

@@ -26,7 +26,11 @@ const snapshotMagic = "ACRDSNAP"
 // Schema 3: the warm fingerprint gained the L4 backend name (the
 // pluggable-organization registry), so keys from schema 2 stores can
 // never alias the new format.
-const SnapshotSchema = 3
+//
+// Schema 4: the warm fingerprint dropped the legacy ca=%t term (the
+// column-associative cache is selected only through Backend = "ca"), so
+// every key moved although no component encoding changed.
+const SnapshotSchema = 4
 
 // SnapshotSchemaID returns a stable identifier for the snapshot schema,
 // used by CI to key the checkpoint-store cache.
@@ -49,11 +53,11 @@ func SnapshotSchemaID() string {
 func (s *System) WarmFingerprint(wlName string) string {
 	c := s.cfg
 	return fmt.Sprintf("%s|wl=%s|l4=%s/%d|backend=%s|cores=%d|iw=%d|mshrs=%d|ghz=%g|sram=%d|"+
-		"scale=%d|l4cap=%d|ways=%d|lookup=%d|lru=%t|ca=%t|hier=%t|"+
+		"scale=%d|l4cap=%d|ways=%d|lookup=%d|lru=%t|hier=%t|"+
 		"nvmcap=%d|anchor=%d|hbm=%+v|pcm=%+v|warm=%d|noadapt=%t|seed=%d",
 		SnapshotSchemaID(), wlName, s.l4.Name(), s.l4.StorageBytes(), c.BackendName(),
 		c.Cores, c.IssueWidth, c.MSHRs, c.CPUGHz, c.SRAMLat,
-		c.Scale, c.L4CapacityFull, c.Ways, c.Lookup, c.LRUReplacement, c.UseCA,
+		c.Scale, c.L4CapacityFull, c.Ways, c.Lookup, c.LRUReplacement,
 		c.FullHierarchy, c.NVMCapacityFull, c.WorkloadAnchorLines,
 		c.HBM, c.PCM, c.WarmupInstr, c.DisableAdaptiveBudgets, c.Seed)
 }
@@ -70,35 +74,7 @@ func (s *System) WarmKey(wlName string) string {
 // the embedded fingerprint documents the configuration the state belongs
 // to and is re-verified on Restore.
 func (s *System) Snapshot(wlName string) ([]byte, error) {
-	e := snapshotEncoder(s.warmBlobLen)
-	e.Raw([]byte(snapshotMagic))
-	e.U32(SnapshotSchema)
-	e.String(s.WarmFingerprint(wlName))
-	s.vmsys.Snapshot(e)
-	// Snapshot is part of the backend contract, but it may still fail —
-	// an nway cache whose policy lacks checkpoint support cannot be
-	// serialized — and the caller falls back to a cold run.
-	if err := s.l4.Snapshot(e); err != nil {
-		return nil, err
-	}
-	s.hbm.Snapshot(e)
-	s.pcm.Snapshot(e)
-	e.U32(uint32(len(s.cores)))
-	for _, c := range s.cores {
-		if err := c.Snapshot(e); err != nil {
-			return nil, err
-		}
-	}
-	e.Bool(s.cfg.FullHierarchy)
-	if s.cfg.FullHierarchy {
-		s.l3.Snapshot(e)
-		for _, h := range s.hiers {
-			h.Snapshot(e)
-		}
-	}
-	blob := e.Finish()
-	s.warmBlobLen = len(blob)
-	return blob, nil
+	return s.snapshot(wlName, true)
 }
 
 // FunctionalSnapshot serializes exactly the state functional
@@ -113,17 +89,35 @@ func (s *System) Snapshot(wlName string) ([]byte, error) {
 // on it by construction. The differential tests compare these bytes
 // across the two modes at the warmup boundary.
 func (s *System) FunctionalSnapshot(wlName string) ([]byte, error) {
-	e := snapshotEncoder(s.funcBlobLen)
+	return s.snapshot(wlName, false)
+}
+
+// snapshot is the one system encoder behind Snapshot (detailed) and
+// FunctionalSnapshot: detailed adds the HBM/PCM timing sections and the
+// cores' timing fields; every other section is shared byte for byte.
+func (s *System) snapshot(wlName string, detailed bool) ([]byte, error) {
+	prevLen := &s.funcBlobLen
+	if detailed {
+		prevLen = &s.warmBlobLen
+	}
+	e := snapshotEncoder(*prevLen)
 	e.Raw([]byte(snapshotMagic))
 	e.U32(SnapshotSchema)
 	e.String(s.WarmFingerprint(wlName))
 	s.vmsys.Snapshot(e)
+	// Snapshot is part of the backend contract, but it may still fail —
+	// an nway cache whose policy lacks checkpoint support cannot be
+	// serialized — and the caller falls back to a cold run.
 	if err := s.l4.Snapshot(e); err != nil {
 		return nil, err
 	}
+	if detailed {
+		s.hbm.Snapshot(e)
+		s.pcm.Snapshot(e)
+	}
 	e.U32(uint32(len(s.cores)))
 	for _, c := range s.cores {
-		if err := c.FunctionalSnapshot(e); err != nil {
+		if err := c.Snapshot(e, detailed); err != nil {
 			return nil, err
 		}
 	}
@@ -135,7 +129,7 @@ func (s *System) FunctionalSnapshot(wlName string) ([]byte, error) {
 		}
 	}
 	blob := e.Finish()
-	s.funcBlobLen = len(blob)
+	*prevLen = len(blob)
 	return blob, nil
 }
 
@@ -158,9 +152,32 @@ func snapshotEncoder(prevLen int) *ckpt.Encoder {
 // cold run. Adversarial input cannot panic: every length is bounded and
 // every section validates its shape against the constructed system.
 func (s *System) Restore(blob []byte, wlName string) error {
+	return s.restore(blob, wlName, true)
+}
+
+// RestoreFunctional loads a FunctionalSnapshot blob into a system of the
+// same Config and workload, then resets the interval-start timing state
+// — the snapshot deliberately omits timing, and every consumer (interval
+// forks, the spine's lattice catch-up, final-state canonicalization)
+// wants the canonical fresh-timing condition, so the reset is part of
+// the restore contract. On error the system state is unspecified and
+// must be discarded.
+func (s *System) RestoreFunctional(blob []byte, wlName string) error {
+	if err := s.restore(blob, wlName, false); err != nil {
+		return err
+	}
+	s.resetIntervalState()
+	return nil
+}
+
+// openSnapshot verifies a blob's CRC frame and its magic, schema and
+// fingerprint header, returning a decoder positioned at the first
+// component section. It is the one header check shared by restore and
+// the spine lattice's probe-side gate.
+func openSnapshot(blob []byte, fp string) (*ckpt.Decoder, error) {
 	d, err := ckpt.NewDecoderChecked(blob)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if magic := d.Raw(len(snapshotMagic)); d.Err() == nil && string(magic) != snapshotMagic {
 		d.Failf("sim: bad snapshot magic %q", magic)
@@ -168,10 +185,17 @@ func (s *System) Restore(blob []byte, wlName string) error {
 	if schema := d.U32(); d.Err() == nil && schema != SnapshotSchema {
 		d.Failf("sim: snapshot schema %d, want %d", schema, SnapshotSchema)
 	}
-	if fp := d.String(); d.Err() == nil && fp != s.WarmFingerprint(wlName) {
-		d.Failf("sim: snapshot fingerprint mismatch:\n  have %s\n  want %s", fp, s.WarmFingerprint(wlName))
+	if have := d.String(); d.Err() == nil && have != fp {
+		d.Failf("sim: snapshot fingerprint mismatch:\n  have %s\n  want %s", have, fp)
 	}
-	if err := d.Err(); err != nil {
+	return d, d.Err()
+}
+
+// restore is the one system decoder behind Restore (detailed) and
+// RestoreFunctional, mirroring snapshot section for section.
+func (s *System) restore(blob []byte, wlName string, detailed bool) error {
+	d, err := openSnapshot(blob, s.WarmFingerprint(wlName))
+	if err != nil {
 		return err
 	}
 	if err := s.vmsys.Restore(d); err != nil {
@@ -180,11 +204,13 @@ func (s *System) Restore(blob []byte, wlName string) error {
 	if err := s.l4.Restore(d); err != nil {
 		return err
 	}
-	if err := s.hbm.Restore(d); err != nil {
-		return err
-	}
-	if err := s.pcm.Restore(d); err != nil {
-		return err
+	if detailed {
+		if err := s.hbm.Restore(d); err != nil {
+			return err
+		}
+		if err := s.pcm.Restore(d); err != nil {
+			return err
+		}
 	}
 	if n := d.U32(); d.Err() == nil && int(n) != len(s.cores) {
 		d.Failf("sim: snapshot has %d cores, system has %d", n, len(s.cores))
@@ -193,7 +219,7 @@ func (s *System) Restore(blob []byte, wlName string) error {
 		return err
 	}
 	for _, c := range s.cores {
-		if err := c.Restore(d); err != nil {
+		if err := c.Restore(d, detailed); err != nil {
 			return err
 		}
 	}
@@ -219,71 +245,7 @@ func (s *System) Restore(blob []byte, wlName string) error {
 	return nil
 }
 
-// RestoreFunctional loads a FunctionalSnapshot blob into a system of the
-// same Config and workload, then resets the interval-start timing state
-// — the snapshot deliberately omits timing, and every consumer (interval
-// forks, the spine's lattice catch-up, final-state canonicalization)
-// wants the canonical fresh-timing condition, so the reset is part of
-// the restore contract. On error the system state is unspecified and
-// must be discarded.
-func (s *System) RestoreFunctional(blob []byte, wlName string) error {
-	d, err := ckpt.NewDecoderChecked(blob)
-	if err != nil {
-		return err
-	}
-	if magic := d.Raw(len(snapshotMagic)); d.Err() == nil && string(magic) != snapshotMagic {
-		d.Failf("sim: bad snapshot magic %q", magic)
-	}
-	if schema := d.U32(); d.Err() == nil && schema != SnapshotSchema {
-		d.Failf("sim: snapshot schema %d, want %d", schema, SnapshotSchema)
-	}
-	if fp := d.String(); d.Err() == nil && fp != s.WarmFingerprint(wlName) {
-		d.Failf("sim: snapshot fingerprint mismatch:\n  have %s\n  want %s", fp, s.WarmFingerprint(wlName))
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := s.vmsys.Restore(d); err != nil {
-		return err
-	}
-	if err := s.l4.Restore(d); err != nil {
-		return err
-	}
-	if n := d.U32(); d.Err() == nil && int(n) != len(s.cores) {
-		d.Failf("sim: snapshot has %d cores, system has %d", n, len(s.cores))
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for _, c := range s.cores {
-		if err := c.RestoreFunctional(d); err != nil {
-			return err
-		}
-	}
-	if hier := d.Bool(); d.Err() == nil && hier != s.cfg.FullHierarchy {
-		d.Failf("sim: snapshot hierarchy=%t, config hierarchy=%t", hier, s.cfg.FullHierarchy)
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if s.cfg.FullHierarchy {
-		if err := s.l3.Restore(d); err != nil {
-			return err
-		}
-		for _, h := range s.hiers {
-			if err := h.Restore(d); err != nil {
-				return err
-			}
-		}
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("sim: %d trailing bytes after functional snapshot", d.Remaining())
-	}
-	s.resetIntervalState()
-	return nil
-}
-
-// RunInfo reports how RunWithStoreInfo executed a run: whether a
+// RunInfo reports how RunWithStore executed a run: whether a
 // warm-state checkpoint skipped warmup, and — for sampled runs — the
 // execution split including spine-lattice hit/miss accounting.
 type RunInfo struct {
@@ -300,14 +262,8 @@ type RunInfo struct {
 // warmup entirely; a miss warms up cold and saves the state for the next
 // run. Any checkpoint problem — corrupt blob, stale schema, policy
 // without snapshot support — silently degrades to a cold run on a fresh
-// system. The restored flag reports whether warmup was skipped.
-func RunWithStore(cfg Config, wl workloads.Workload, store *ckpt.Store, wlName string) (res Result, restored bool) {
-	res, info := RunWithStoreInfo(cfg, wl, store, wlName)
-	return res, info.Restored
-}
-
-// RunWithStoreInfo is RunWithStore with execution diagnostics.
-func RunWithStoreInfo(cfg Config, wl workloads.Workload, store *ckpt.Store, wlName string) (res Result, info RunInfo) {
+// system. info.Restored reports whether warmup was skipped.
+func RunWithStore(cfg Config, wl workloads.Workload, store *ckpt.Store, wlName string) (res Result, info RunInfo) {
 	s := New(cfg, wl)
 	if cfg.Sampling.Enabled() {
 		// Sampled runs warm functionally and never sit at the single

@@ -106,12 +106,12 @@ func TestRunWithStoreBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := New(cfg, wl).Run(wlName)
-			first, restored := RunWithStore(cfg, wl, store, wlName)
-			if restored {
+			first, info := RunWithStore(cfg, wl, store, wlName)
+			if info.Restored {
 				t.Fatal("first run claims to have restored from an empty store")
 			}
-			second, restored := RunWithStore(cfg, wl, store, wlName)
-			if !restored {
+			second, info := RunWithStore(cfg, wl, store, wlName)
+			if !info.Restored {
 				t.Fatal("second run did not restore from the populated store")
 			}
 			baseFP := resultFingerprint(t, base)
@@ -279,8 +279,8 @@ func TestRunWithStoreCorruptFallsBackCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, restored := RunWithStore(cfg, wl, store, "libquantum")
-	if restored {
+	got, info := RunWithStore(cfg, wl, store, "libquantum")
+	if info.Restored {
 		t.Error("corrupt checkpoint was reported as restored")
 	}
 	if !reflect.DeepEqual(base, got) {
@@ -288,8 +288,8 @@ func TestRunWithStoreCorruptFallsBackCold(t *testing.T) {
 	}
 
 	// The fallback re-saved a good checkpoint; the next run restores.
-	again, restored := RunWithStore(cfg, wl, store, "libquantum")
-	if !restored {
+	again, info := RunWithStore(cfg, wl, store, "libquantum")
+	if !info.Restored {
 		t.Error("store was not repopulated after the corrupt fallback")
 	}
 	if !reflect.DeepEqual(base, again) {

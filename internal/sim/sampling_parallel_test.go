@@ -4,14 +4,32 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"accord/internal/dramcache"
 	"accord/internal/workloads"
 )
+
+// backendFilterSkip honors ACCORD_BACKEND the same way the dramcache
+// conformance suite does: set, it narrows a per-backend matrix to one
+// backend so the per-backend CI jobs split the -race cost.
+func backendFilterSkip(t *testing.T, backend string) bool {
+	t.Helper()
+	only := os.Getenv("ACCORD_BACKEND")
+	if only == "" {
+		return false
+	}
+	if !dramcache.HasBackend(only) {
+		t.Fatalf("ACCORD_BACKEND=%q is not a registered backend (have %v)",
+			only, dramcache.BackendNames())
+	}
+	return backend != only
+}
 
 // parallelCases spans every L4 organization across the equivalence
 // matrix the parallel sampler must honor: single- and multi-core,
@@ -130,12 +148,15 @@ func runSampledInPlace(t *testing.T, cfg Config, wl workloads.Workload, wlName s
 // the in-place oracle above; multi-core runs, whose functional and
 // detailed interleavings differ, to the driver at one worker. Run it
 // under -race to also prove the fork protocol shares no state it
-// shouldn't.
+// shouldn't; the per-backend CI jobs narrow it with ACCORD_BACKEND.
 func TestSampledParallelMatchesSequential(t *testing.T) {
 	const wlName = "libquantum"
 	for _, cores := range []int{1, 2} {
 		for _, earlyStop := range []bool{false, true} {
 			for _, cfg := range parallelCases(cores, earlyStop) {
+				if backendFilterSkip(t, cfg.BackendName()) {
+					continue
+				}
 				cfg := cfg
 				name := fmt.Sprintf("%s-%dc-stop=%t", cfg.Name, cores, earlyStop)
 				t.Run(name, func(t *testing.T) {

@@ -233,8 +233,8 @@ func TestRunWithStoreBypassesSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, restored := RunWithStore(cfg, wl, store, "libquantum")
-	if restored {
+	res, info := RunWithStore(cfg, wl, store, "libquantum")
+	if info.Restored {
 		t.Error("sampled run claims to have restored a checkpoint")
 	}
 	if key := New(cfg, wl).WarmKey("libquantum"); func() bool {

@@ -70,7 +70,8 @@ func (s *System) spineOffset(interval int) int64 {
 
 // validFunctionalSnapshot reports whether blob carries a well-framed
 // functional snapshot for fingerprint fp: CRC frame, magic, schema, and
-// the embedded fingerprint. This is the probe-side gate that makes the
+// the embedded fingerprint (openSnapshot, the header check Restore and
+// RestoreFunctional run too). This is the probe-side gate that makes the
 // lattice restore paths safe to run against live systems: every
 // adversarial failure mode (truncation, corruption, stale schema, wrong
 // config) is rejected here and degrades to a cold miss. A blob that
@@ -80,20 +81,8 @@ func (s *System) spineOffset(interval int) int64 {
 // scenario and treated as a programming-error panic, exactly like a
 // snapshot failure after RunSampled's trial snapshot passed.
 func validFunctionalSnapshot(blob []byte, fp string) bool {
-	d, err := ckpt.NewDecoderChecked(blob)
-	if err != nil {
-		return false
-	}
-	if string(d.Raw(len(snapshotMagic))) != snapshotMagic {
-		return false
-	}
-	if d.U32() != SnapshotSchema {
-		return false
-	}
-	if d.String() != fp {
-		return false
-	}
-	return d.Err() == nil
+	_, err := openSnapshot(blob, fp)
+	return err == nil
 }
 
 // spineSaveReq is one boundary snapshot queued for the background writer.

@@ -123,32 +123,6 @@ func TestSpineLatticeMeasureKnobsExcluded(t *testing.T) {
 	}
 }
 
-// TestSpineLatticeEngineExcluded proves the engine toggle is excluded
-// from the spine key: a lattice populated under the specialized engine is
-// fully warm under the generic engine, and the resumed generic run
-// matches a cold generic run exactly. Mutates the global engine toggle,
-// so no t.Parallel.
-func TestSpineLatticeEngineExcluded(t *testing.T) {
-	const wlName = "libquantum"
-	cfg := parallelCases(2, false)[5] // tdram-2way
-	wl := traceWorkload(wlName, cfg)
-	dir := t.TempDir()
-
-	runSampledWorkers(t, latticeCfg(cfg, dir), wl, wlName, 2)
-
-	forceGenericAdapter = true
-	defer func() { forceGenericAdapter = false }()
-	coldRes, coldJS, coldState, _ := runSampledWorkers(t, cfg, wl, wlName, 2)
-	res, js, state, work := runSampledWorkers(t, latticeCfg(cfg, dir), wl, wlName, 2)
-	if work.LatticeHits == 0 || work.LatticeMisses != 0 {
-		t.Errorf("generic-engine resume of a specialized-engine lattice hit %d / missed %d, want all hits",
-			work.LatticeHits, work.LatticeMisses)
-	}
-	if !reflect.DeepEqual(coldRes, res) || !bytes.Equal(coldJS, js) || !bytes.Equal(coldState, state) {
-		t.Errorf("generic-engine resumed run diverged from generic-engine cold run")
-	}
-}
-
 // TestSpineLatticeStaleGeometry pins the stale-lattice contract: changing
 // the interval geometry moves every key, so a lattice populated under the
 // old geometry can only miss — the new-geometry run is correct and
